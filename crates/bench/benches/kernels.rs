@@ -17,8 +17,9 @@ fn bench_block_gemm(c: &mut Criterion) {
         let b_blk = random_block(q, 2);
         let flops = 2 * q * q * q;
         g.throughput(Throughput::Elements(flops as u64));
-        // One series per runnable kernel (scalar always; avx2 where the
-        // CPU supports it), plus the dispatched default and the oracle.
+        // One series per runnable kernel (scalar always; avx2 and avx512
+        // where the CPU supports them), plus the dispatched default and
+        // the oracle.
         for kernel in mwp_blockmat::kernel::available() {
             g.bench_with_input(BenchmarkId::new(kernel.name(), q), &q, |bch, _| {
                 let mut cblk = Block::zeros(q);

@@ -29,7 +29,7 @@
 //! elimination is visible as a stat rather than inferred from the timing.
 //!
 //! Measurements run whatever kernel the dispatcher selects; force a
-//! specific one with `MWP_KERNEL=scalar|avx2` to compare code paths, and
+//! specific one with `MWP_KERNEL=scalar|avx2|avx512` to compare code paths, and
 //! `MWP_PACK=off` to A/B the prepacked-reuse paths against per-call
 //! packing on the same build.
 

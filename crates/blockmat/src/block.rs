@@ -81,9 +81,9 @@ impl Block {
     /// The block update `self += a · b` — the paper's unit of computation.
     ///
     /// Runs the process-wide dispatched kernel ([`kernel::active`]): the
-    /// register-blocked AVX2/FMA microkernel where the CPU supports it,
-    /// the cache-tiled scalar loop everywhere else, overridable with
-    /// `MWP_KERNEL=scalar|avx2`. Loops that perform many updates should
+    /// register-blocked AVX-512F or AVX2/FMA microkernel where the CPU
+    /// supports it, the cache-tiled scalar loop everywhere else,
+    /// overridable with `MWP_KERNEL=scalar|avx2|avx512`. Loops that perform many updates should
     /// resolve the kernel once and call [`Block::gemm_acc_with`] instead.
     pub fn gemm_acc(&mut self, a: &Block, b: &Block) {
         self.gemm_acc_with(kernel::active(), a, b);
@@ -143,13 +143,12 @@ impl Block {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
-    /// Maximum absolute difference against another block.
+    /// Maximum absolute difference against another block. A NaN on one
+    /// side only, or two NaNs with different bits, reads as infinite, so
+    /// a NaN result never passes for a match.
     pub fn max_abs_diff(&self, other: &Block) -> f64 {
         assert_eq!(self.q, other.q);
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0_f64, |m, (&x, &y)| m.max((x - y).abs()))
+        crate::norms::max_abs_diff(&self.data, &other.data)
     }
 
     /// Serialize to little-endian bytes (for the message layer).

@@ -142,6 +142,7 @@ pub fn verify_product(
 mod tests {
     use super::*;
     use crate::fill::random_matrix;
+    use crate::Block;
     use proptest::prelude::*;
 
     #[test]
@@ -161,6 +162,21 @@ mod tests {
         gemm_serial(&mut c1, &a, &b);
         gemm_parallel(&mut c2, &a, &b);
         assert_eq!(c1.max_abs_diff(&c2), 0.0, "must be bit-identical");
+    }
+
+    #[test]
+    fn verify_product_rejects_a_nan_entry() {
+        let a = random_matrix(2, 3, 4, 61);
+        let b = random_matrix(3, 2, 4, 62);
+        let c0 = random_matrix(2, 2, 4, 63);
+        let mut c = c0.clone();
+        gemm_serial(&mut c, &a, &b);
+        assert!(verify_product(&c, &c0, &a, &b, 1e-9).is_ok());
+        c.set(5, 2, f64::NAN);
+        assert_eq!(verify_product(&c, &c0, &a, &b, 1e-9), Err(f64::INFINITY));
+        // An all-NaN result must fail too, not fold to a zero difference.
+        let all_nan = BlockMatrix::from_fn(2, 2, 4, |_, _| Block::from_vec(4, vec![f64::NAN; 16]));
+        assert_eq!(verify_product(&all_nan, &c0, &a, &b, 1e-9), Err(f64::INFINITY));
     }
 
     #[test]

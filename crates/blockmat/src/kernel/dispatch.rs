@@ -4,13 +4,19 @@
 //! update resolves the table, every later call is one atomic load. No hot
 //! path ever re-runs `is_x86_feature_detected!` per block update.
 //!
+//! The table holds three kernels: `scalar` (portable), `avx2` (4×8
+//! register tile over 8-wide panels, AVX2 + FMA) and `avx512` (8×16 tile
+//! over 16-wide panels, AVX-512F). The two SIMD kernels share one pack
+//! routine and one macro loop (`kernel/pack.rs`), differing only in the
+//! tile shape, and are bit-identical to each other.
+//!
 //! Selection order:
-//! 1. `MWP_KERNEL=scalar|avx2` forces a kernel (a forced kernel the CPU
-//!    cannot run is a hard error — a silent fallback would make "tested
-//!    the SIMD path" a lie on machines without it; an unknown name is a
-//!    hard error listing the valid names);
-//! 2. otherwise the fastest kernel the CPU supports wins (AVX2+FMA when
-//!    detected, scalar everywhere else).
+//! 1. `MWP_KERNEL=scalar|avx2|avx512` forces a kernel (a forced kernel
+//!    the CPU cannot run is a hard error — a silent fallback would make
+//!    "tested the SIMD path" a lie on machines without it; an unknown
+//!    name is a hard error listing the valid names);
+//! 2. otherwise the fastest kernel the CPU supports wins (AVX-512F when
+//!    detected, else AVX2+FMA, else scalar).
 //!
 //! A second switch, `MWP_PACK=on|off` (default on), gates *prepacked
 //! reuse*: with `off`, every layer that would pack a B operand once and
@@ -23,7 +29,7 @@ use super::packed::PackedB;
 use std::sync::OnceLock;
 
 /// Raw kernel entry: `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major
-/// contiguous. Unsafe because the AVX2 entry requires CPU support the
+/// contiguous. Unsafe because the SIMD entries require CPU support the
 /// dispatcher establishes; shape checking is done by [`Kernel::gemm_acc`].
 type GemmAccRaw = unsafe fn(&mut [f64], &[f64], &[f64], usize, usize, usize, f64);
 
@@ -53,7 +59,8 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Kernel name as accepted by `MWP_KERNEL` (`"scalar"`, `"avx2"`).
+    /// Kernel name as accepted by `MWP_KERNEL` (`"scalar"`, `"avx2"`,
+    /// `"avx512"`).
     #[inline]
     pub fn name(&self) -> &'static str {
         self.name
@@ -139,18 +146,28 @@ static SCALAR: Kernel = Kernel {
     gemm_acc_packed: super::scalar::gemm_acc_packed,
 };
 
+/// A SIMD dispatch entry: the shared pack and macro loop at `T`'s tile
+/// shape.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-static AVX2: Kernel = Kernel {
-    name: "avx2",
-    gemm_acc: super::avx2::gemm_acc,
-    pack_b: super::pack::pack_b,
-    gemm_acc_packed: super::avx2::gemm_acc_packed,
-};
+const fn simd_kernel<T: super::pack::Tile>(name: &'static str) -> Kernel {
+    Kernel {
+        name,
+        gemm_acc: super::pack::gemm_acc::<T>,
+        pack_b: super::pack::pack_b_for::<T>,
+        gemm_acc_packed: super::pack::gemm_acc_packed::<T>,
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+static AVX2: Kernel = simd_kernel::<super::avx2::Avx2>("avx2");
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+static AVX512: Kernel = simd_kernel::<super::avx512::Avx512>("avx512");
 
 /// Every kernel name compiled into this build (whether or not this CPU
 /// can run it) — the list `MWP_KERNEL` errors cite.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-const KERNEL_NAMES: &[&str] = &["scalar", "avx2"];
+const KERNEL_NAMES: &[&str] = &["scalar", "avx2", "avx512"];
 #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
 const KERNEL_NAMES: &[&str] = &["scalar"];
 
@@ -212,6 +229,10 @@ pub fn by_name(name: &str) -> Result<&'static Kernel, String> {
         "avx2" if avx2_supported() => Ok(&AVX2),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         "avx2" => Err("kernel 'avx2' forced but this CPU lacks AVX2+FMA".into()),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        "avx512" if avx512_supported() => Ok(&AVX512),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        "avx512" => Err("kernel 'avx512' forced but this CPU lacks AVX-512F".into()),
         other => Err(format!(
             "unknown kernel '{other}' (valid: {})",
             KERNEL_NAMES.join(", ")
@@ -219,28 +240,36 @@ pub fn by_name(name: &str) -> Result<&'static Kernel, String> {
     }
 }
 
-/// Every kernel this CPU can run, scalar first — for benches and
-/// equivalence tests that want to exercise all of them explicitly.
+/// Every kernel this CPU can run, slowest first (scalar, avx2, avx512)
+/// — for benches and equivalence tests that want to exercise all of them
+/// explicitly.
 pub fn available() -> Vec<&'static Kernel> {
     let mut out = vec![&SCALAR];
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if avx2_supported() {
-        out.push(&AVX2);
+    {
+        if avx2_supported() {
+            out.push(&AVX2);
+        }
+        if avx512_supported() {
+            out.push(&AVX512);
+        }
     }
     out
 }
 
+/// The fastest kernel this CPU can run: the last of [`available`].
 fn default_kernel() -> &'static Kernel {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if avx2_supported() {
-        return &AVX2;
-    }
-    &SCALAR
+    available().pop().expect("scalar is always available")
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 fn avx2_supported() -> bool {
     std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn avx512_supported() -> bool {
+    std::is_x86_feature_detected!("avx512f")
 }
 
 #[cfg(test)]

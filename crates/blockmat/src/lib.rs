@@ -7,8 +7,9 @@
 //!
 //! * [`Block`] — one `q × q` block of `f64` coefficients stored contiguously
 //!   row-major, whose `gemm_acc` runs the dispatched [`kernel`],
-//! * [`kernel`] — the block-update kernel family: a register-blocked
-//!   AVX2/FMA microkernel and the portable cache-tiled scalar loop behind
+//! * [`kernel`] — the block-update kernel family: register-blocked
+//!   AVX-512F and AVX2/FMA microkernels (bit-identical to each other) and
+//!   the portable cache-tiled scalar loop behind
 //!   a `OnceLock`-cached runtime dispatch (`MWP_KERNEL` to force one),
 //! * [`BlockMatrix`] — an `rows × cols` grid of blocks (the master's view of
 //!   `A`, `B`, and `C`),

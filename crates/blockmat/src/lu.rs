@@ -132,13 +132,12 @@ impl Dense {
         c
     }
 
-    /// Maximum absolute difference against `other`.
+    /// Maximum absolute difference against `other`. A NaN on one side
+    /// only, or two NaNs with different bits, reads as infinite, so a NaN
+    /// result never passes for a match.
     pub fn max_abs_diff(&self, other: &Dense) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0_f64, |m, (&x, &y)| m.max((x - y).abs()))
+        crate::norms::max_abs_diff(&self.data, &other.data)
     }
 
     /// Extract the sub-matrix `[r0..r1) × [c0..c1)`.

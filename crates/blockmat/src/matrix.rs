@@ -125,6 +125,8 @@ impl BlockMatrix {
     }
 
     /// Maximum absolute difference over all coefficients against `other`.
+    /// A NaN on one side only, or two NaNs with different bits, reads as
+    /// infinite, so a NaN result never passes for a match.
     pub fn max_abs_diff(&self, other: &BlockMatrix) -> f64 {
         assert_eq!((self.rows, self.cols, self.q), (other.rows, other.cols, other.q));
         self.blocks

@@ -46,6 +46,20 @@ impl BufferPool {
         Bytes::from_owner(PooledBuf { buf, pool: Arc::downgrade(&self.free) })
     }
 
+    /// Hand out `len` bytes of a recycled buffer for `fill` to overwrite
+    /// in full — the receive path, where `read_exact` writes every byte.
+    /// The buffer keeps its high-water length across loans, so only
+    /// growth is zero-filled; bytes past `len` (left from a longer loan)
+    /// stay outside the returned view.
+    pub(crate) fn bytes_overwritten(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        let mut buf = self.free.lock().pop().unwrap_or_default();
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        fill(&mut buf[..len]);
+        Bytes::from_owner(PooledBuf { buf, pool: Arc::downgrade(&self.free) }).slice(..len)
+    }
+
     /// Buffers currently parked in the pool (for tests/metrics).
     pub fn idle_buffers(&self) -> usize {
         self.free.lock().len()
@@ -101,6 +115,25 @@ mod tests {
         let second = pool.bytes_with(64, |b| b.extend_from_slice(&[8u8; 64]));
         assert_eq!(second.as_ptr(), first_ptr);
         assert_eq!(&*second, &[8u8; 64]);
+    }
+
+    #[test]
+    fn overwritten_loans_keep_the_high_water_length() {
+        let pool = BufferPool::new();
+        let long = pool.bytes_overwritten(64, |b| b.fill(7));
+        let long_ptr = long.as_ptr();
+        drop(long);
+        // A shorter loan reuses the storage and sees only its own bytes.
+        let short = pool.bytes_overwritten(3, |b| {
+            assert_eq!(b.len(), 3);
+            b.copy_from_slice(&[1, 2, 3]);
+        });
+        assert_eq!(short.as_ptr(), long_ptr);
+        assert_eq!(&*short, &[1, 2, 3]);
+        drop(short);
+        // Growing again past the high-water mark still hands out `len`.
+        let grown = pool.bytes_overwritten(100, |b| b.fill(9));
+        assert_eq!(&*grown, &[9u8; 100][..]);
     }
 
     #[test]

@@ -359,11 +359,10 @@ pub fn read_frame_from(
             format!("frame length prefix {wire_len} exceeds the {max_wire_len}-byte cap"),
         ));
     }
+    // `read_exact` overwrites every byte, so the pooled buffer is not
+    // zero-filled first (only its growth past the high-water mark is).
     let mut read_result = Ok(());
-    let buf = pool.bytes_with(wire_len, |buf| {
-        buf.resize(wire_len, 0);
-        read_result = r.read_exact(buf);
-    });
+    let buf = pool.bytes_overwritten(wire_len, |buf| read_result = r.read_exact(buf));
     read_result?;
     let image = if checksum {
         let body = wire_len - 4;
@@ -2054,6 +2053,34 @@ mod tests {
             let mut r = SplitReader { data: wire, pos: 0, chunk: usize::MAX };
             let err = read_frame_from(&mut r, &BufferPool::new(), MAX_WIRE_LEN, true).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
+        }
+    }
+
+    #[test]
+    fn long_then_short_frame_decode_exactly_through_one_reused_buffer() {
+        // The pooled receive buffer keeps the long frame's length; the
+        // short frame must decode from its own bytes only, in the same
+        // storage, under both wire formats.
+        for checksum in [false, true] {
+            let long = frame(FrameKind::BlockA, 1, 2, &[0xAB; 4096]);
+            let short = frame(FrameKind::CResult, 3, 4, &[1, 2, 3]);
+            let mut wire = Vec::new();
+            for f in [&long, &short] {
+                write_frame_to(&mut wire, f, checksum).unwrap();
+            }
+            let mut reader = FramedReader::with_checksum(&wire[..], checksum);
+            let got_long = reader.recv_frame().unwrap().expect("long frame");
+            assert_eq!(got_long, long);
+            let long_storage = got_long.payload.as_ptr_range();
+            drop(got_long);
+            assert_eq!(reader.pool.idle_buffers(), 1, "the long frame's buffer is back");
+            let got_short = reader.recv_frame().unwrap().expect("short frame");
+            assert_eq!(got_short, short);
+            assert_eq!(reader.pool.idle_buffers(), 0, "the short frame took the pooled buffer");
+            // Same allocation: the payload sits `HEADER_LEN` into the
+            // buffer either way.
+            assert_eq!(got_short.payload.as_ptr(), long_storage.start, "checksum {checksum}");
+            assert!(reader.recv_frame().unwrap().is_none());
         }
     }
 

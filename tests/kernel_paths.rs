@@ -2,8 +2,9 @@
 //! matrix runtimes, and the threaded LU — runs the same dispatched block
 //! kernel, and all of them cross-validate against the independent naive
 //! oracle. Block sides are chosen to hit both the aligned case and the
-//! tails of the 4×8 register tile (q = 33 leaves one row and one column
-//! stripe partial on every update).
+//! tails of the register tiles (4×8 for avx2, 8×16 for avx512: q = 33
+//! leaves one row and one column stripe partial on every update under
+//! either, and q = 8 is a partial column stripe under avx512 only).
 
 use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
@@ -12,7 +13,8 @@ use mwp_blockmat::kernel;
 use mwp_blockmat::lu::{reconstruct, Dense};
 use mwp_lu::runtime::run_lu;
 
-/// Aligned (q = 8, 16) and tail (q = 33) block sides: the threaded HoLM
+/// Tile-aligned (q = 16; q = 8 under avx2) and tail (q = 33) block
+/// sides: the threaded HoLM
 /// runtime must agree with the serial product bit for bit (same kernel,
 /// same per-block accumulation order) and with the naive oracle within
 /// rounding.

@@ -7,7 +7,8 @@
 //!
 //! The CI matrix runs this file under `MWP_KERNEL=scalar` (the verbatim
 //! row-major pack) and `MWP_RUNTIME=session` (prepacks recycled across
-//! pooled runs) as well as the default AVX2 leg; `MWP_PACK=off` turns
+//! pooled runs) and `MWP_KERNEL=avx2` as well as the default leg (AVX-512
+//! where the runner has it); `MWP_PACK=off` turns
 //! every prepacked path back into the per-call path, which these
 //! equivalences guarantee is indistinguishable in results.
 
